@@ -38,6 +38,10 @@ class MemoryModePolicy(PlacementPolicy):
         for obj in ctx.page_table:
             obj.set_residency(0.0)
 
+    def on_recover(self, ctx: EngineContext) -> None:
+        # the cache model is stateless between updates; residency survived
+        self._cache = DirectMappedPageCache(ctx.page_table, seed=self._seed)
+
     def on_region_start(self, ctx: EngineContext) -> None:
         self._update(ctx)
 

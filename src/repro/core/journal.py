@@ -306,7 +306,7 @@ def _undo_moves(page_table: "PageTable", move_records: list[WalRecord]) -> int:
             obj = page_table.object(move["obj"])
             idx = np.asarray(move["pages"], dtype=np.intp)
             before = np.asarray(move["before"], dtype=np.float64)
-            obj.residency[idx] = before
+            obj.set_pages(idx, before)
             restored += len(idx)
     return restored
 
@@ -322,19 +322,45 @@ def verify_placement(
     2. DRAM capacity is never exceeded;
     3. placement restoration / quota conservation: after a rollback, every
        object holds exactly the DRAM pages it held at epoch begin (hence
-       every task's DRAM-access share is conserved too).
+       every task's DRAM-access share is conserved too);
+    4. no page-table bookkeeping drift: the table's memoised per-object
+       DRAM pages and access fractions and its used bytes equal a
+       recomputation from the residency arrays, bit for bit.
+
+    Every check reads that recomputation, never the memo, so a stale
+    cache cannot certify a placement.
     """
     violations: list[str] = []
     binary = begin_payload.get("binary", True) if begin_payload else True
-    if binary:
-        for obj in page_table:
-            r = obj.residency
+    pages: dict[str, float] = {}
+    fractions: dict[str, float] = {}
+    for obj in page_table:
+        r = obj.residency
+        pages[obj.name] = float(r.sum())
+        fractions[obj.name] = float(obj.weight @ r)
+        if binary:
             off = np.abs(r - np.round(r)) > _BINARY_EPS
             if off.any():
                 violations.append(
                     f"object {obj.name!r}: {int(off.sum())} pages in no/both tiers"
                 )
-    used = page_table.dram_used_bytes()
+        if (pages[obj.name], fractions[obj.name]) != (
+            obj.dram_pages(),
+            obj.dram_access_fraction(),
+        ):
+            violations.append(
+                f"object {obj.name!r}: page-table bookkeeping drift "
+                "(memoised DRAM pages or access fraction is stale)"
+            )
+    used = sum(p * PAGE_SIZE for p in pages.values())
+    if (used, fractions) != (
+        page_table.dram_used_bytes(),
+        page_table.access_fractions(),
+    ):
+        violations.append(
+            "page-table bookkeeping drift: memoised DRAM use or access "
+            "fractions differ from the residency arrays"
+        )
     if used > page_table.dram_capacity_bytes + PAGE_SIZE * _BINARY_EPS:
         violations.append(
             f"DRAM over capacity: {used:.0f} B used of "
@@ -343,10 +369,10 @@ def verify_placement(
     if begin_payload is not None:
         want = begin_payload.get("dram_pages", {})
         for name, expected in want.items():
-            if name not in page_table:
+            if name not in pages:
                 violations.append(f"object {name!r} vanished from the page table")
                 continue
-            actual = page_table.object(name).dram_pages()
+            actual = pages[name]
             if not math.isclose(actual, float(expected), abs_tol=1e-6):
                 violations.append(
                     f"object {name!r}: {actual:.3f} DRAM pages after rollback, "

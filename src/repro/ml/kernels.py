@@ -62,8 +62,8 @@ class TreeArrays:
     arrays are read-only views conceptually -- kernels never mutate them.
 
     ``split_feature``/``split_threshold``/``children``/``depth`` are the
-    descent-form encoding (leaves as self-loops that always compare
-    "left" against ``+inf``), shared with :class:`ForestArrays` -- see
+    descent-form encoding (leaves as self-loops that compare against
+    ``+inf``), shared with :class:`ForestArrays` -- see
     there for why it removes all per-level leaf bookkeeping and why the
     index arrays are intp.
     """
@@ -94,12 +94,14 @@ class ForestArrays:
     The descent itself reads the derived arrays, which encode leaves as
     self-loops so the inner loop needs no is-a-leaf bookkeeping: a leaf's
     ``split_feature`` is 0 and its ``split_threshold`` is ``+inf`` (every
-    comparison routes "left"), and ``children[2 * i]`` / ``children[2 * i + 1]``
-    are the left/right child of node ``i`` -- a leaf's both children are the
-    leaf itself.  After ``depth`` iterations every lane provably rests on a
-    leaf.  Index arrays are intp on purpose: numpy silently casts any other
-    integer dtype to intp on every fancy-index, which would add a full
-    cursor-matrix conversion pass to each of the descent's gathers.
+    non-NaN comparison routes "left"), and ``children[2 * i]`` /
+    ``children[2 * i + 1]`` are the left/right child of node ``i`` -- a
+    leaf's both children are the leaf itself, so a NaN feature that routes
+    "right" stays put too.  After ``depth`` iterations every lane provably
+    rests on a leaf.  Index arrays are intp on purpose: numpy silently
+    casts any other integer dtype to intp on every fancy-index, which would
+    add a full cursor-matrix conversion pass to each of the descent's
+    gathers.
     """
 
     roots: np.ndarray            # (n_trees,) int64
@@ -210,8 +212,9 @@ def tree_apply(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
 
     Iterative vectorized descent: a per-sample cursor walks the node
     arrays until every sample rests on a leaf.  Split comparisons are
-    exact (``x <= threshold``), so the routing -- and therefore the leaf
-    value -- is bit-identical to a scalar per-sample walk.  Uses the same
+    exact (``x <= threshold``, and anything else -- NaN included -- goes
+    right), so the routing -- and therefore the leaf value -- is
+    bit-identical to a scalar per-sample walk.  Uses the same
     self-looping descent encoding as :func:`forest_apply` (fixed ``depth``
     levels, four gathers per level, no leaf masking).
     """
@@ -223,7 +226,7 @@ def tree_apply(tree: TreeArrays, X: np.ndarray) -> np.ndarray:
         f = tree.split_feature[cursor]
         f += rowbase
         xv = Xf[f]
-        go_right = xv > tree.split_threshold[cursor]
+        go_right = ~(xv <= tree.split_threshold[cursor])
         cursor <<= 1
         cursor += go_right
         cursor = tree.children[cursor]
@@ -242,7 +245,8 @@ def forest_apply(forest: ForestArrays, X: np.ndarray) -> np.ndarray:
     The inner loop is four gathers and two elementwise passes per level,
     all through the self-looping descent encoding (see
     :class:`ForestArrays`): lanes already on a leaf compare against
-    ``+inf``, route "left", and stay put, so no activity mask is needed
+    ``+inf`` and stay put whichever way they route (a NaN feature routes
+    right, into the leaf's other self-loop), so no activity mask is needed
     and the level count is the packed ``depth``.  The feature-value
     gather goes through the flattened row-major ``X`` with fused
     ``row * d + feature`` indices -- one take instead of a broadcast
@@ -258,7 +262,7 @@ def forest_apply(forest: ForestArrays, X: np.ndarray) -> np.ndarray:
         f = forest.split_feature[cursor]
         f += rowbase
         xv = Xf[f]
-        go_right = xv > forest.split_threshold[cursor]
+        go_right = ~(xv <= forest.split_threshold[cursor])
         cursor <<= 1
         cursor += go_right
         cursor = forest.children[cursor]

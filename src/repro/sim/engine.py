@@ -161,8 +161,9 @@ class EngineContext:
 class PlacementPolicy:
     """Base class for data-placement policies (baselines and Merchandiser).
 
-    Policies may mutate residency directly in the start hooks (initial
-    placement) and must route mid-run movement through ``on_tick``'s
+    Policies may set residency directly in the start hooks (initial
+    placement, through ``PagedObject.set_pages``/``set_residency``; the
+    residency arrays are read-only) and must route mid-run movement through ``on_tick``'s
     :class:`MigrationBatch` return so the engine can charge bandwidth.
     """
 

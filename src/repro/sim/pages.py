@@ -33,18 +33,36 @@ __all__ = [
 ]
 
 
+def _guarded(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed float64 buffer of ``n`` lanes, returned as a
+    ``(writable, read-only)`` pair of aliases of that buffer.
+
+    The read-only alias wraps the buffer through the buffer protocol rather
+    than as a numpy view, so slices of it name *it* (not the writable
+    buffer) as their ``.base``.
+    """
+    rw = np.zeros(n, dtype=np.float64)
+    ro = np.frombuffer(rw.data, dtype=np.float64)
+    ro.flags.writeable = False
+    return rw, ro
+
+
 class PagedObject:
     """Pages of one data object.
 
-    Attributes
-    ----------
-    weight:
-        Per-page fraction of the object's main-memory accesses (sums to 1).
-    residency:
-        Per-page DRAM residency in ``[0, 1]``.
+    ``weight`` (per-page fraction of the object's main-memory accesses,
+    summing to 1) and ``residency`` (per-page DRAM residency in ``[0, 1]``)
+    are read-only arrays.  Residency changes only through
+    :meth:`set_residency` and :meth:`set_pages`, which drop the cached
+    :meth:`dram_pages` / :meth:`dram_access_fraction` values and the owning
+    table's memo; an in-place write anywhere else raises ``ValueError``
+    instead of leaving the caches stale.
     """
 
-    __slots__ = ("spec", "n_pages", "weight", "residency")
+    __slots__ = (
+        "spec", "n_pages", "_weight", "_residency", "_rw",
+        "_pages", "_fraction", "_memo",
+    )
 
     #: cache lines per page: element-level popularity is averaged over this
     #: many draws per page, because a 4 KiB page mixes hot and cold lines
@@ -61,11 +79,30 @@ class PagedObject:
             lines = zipf_weights(
                 self.n_pages * self.LINES_PER_PAGE, spec.zipf_s, rng=make_rng(rng)
             )
-            self.weight = lines.reshape(self.n_pages, self.LINES_PER_PAGE).sum(axis=1)
-            self.weight /= self.weight.sum()
+            weight = lines.reshape(self.n_pages, self.LINES_PER_PAGE).sum(axis=1)
+            weight /= weight.sum()
         else:
-            self.weight = np.full(self.n_pages, 1.0 / self.n_pages)
-        self.residency = np.zeros(self.n_pages, dtype=np.float64)
+            weight = np.full(self.n_pages, 1.0 / self.n_pages)
+        weight.flags.writeable = False
+        self._weight = weight
+        self._rw, self._residency = _guarded(self.n_pages)
+        #: the owning table's memo (shared dict, so no reference cycle)
+        self._memo: dict | None = None
+        self._pages: float | None = None
+        self._fraction: float | None = None
+
+    # -- pickling: the writable alias is rebuilt, not copied separately
+    def __getstate__(self) -> dict:
+        return {k: getattr(self, k) for k in self.__slots__ if k != "_rw"}
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        residency = state.pop("_residency")
+        for key, value in state.items():
+            setattr(self, key, value)
+        self._rw, self._residency = _guarded(self.n_pages)
+        self._rw[:] = residency
+        self._weight.flags.writeable = False
 
     @property
     def name(self) -> str:
@@ -75,29 +112,62 @@ class PagedObject:
     def owner(self) -> str | None:
         return self.spec.owner
 
+    @property
+    def weight(self) -> np.ndarray:
+        """Per-page access weights.  Assigning replaces a standalone
+        object's vector; a table adopts it into its read-only arena."""
+        return self._weight
+
+    @weight.setter
+    def weight(self, value: np.ndarray) -> None:
+        self._weight = np.asarray(value, dtype=np.float64)
+        self._invalidate()
+
+    @property
+    def residency(self) -> np.ndarray:
+        """Read-only per-page DRAM residency; write via :meth:`set_pages`
+        or :meth:`set_residency`."""
+        return self._residency
+
+    def _invalidate(self) -> None:
+        self._pages = self._fraction = None
+        if self._memo is not None:
+            self._memo.clear()
+
     def dram_pages(self) -> float:
-        """Equivalent number of pages resident in DRAM."""
-        return float(self.residency.sum())
+        """Equivalent number of pages resident in DRAM (cached)."""
+        if self._pages is None:
+            self._pages = float(self._residency.sum())
+        return self._pages
 
     def dram_bytes(self) -> float:
         return self.dram_pages() * PAGE_SIZE
 
     def dram_access_fraction(self) -> float:
-        """Access-weighted fraction of this object served from DRAM."""
-        return float(self.weight @ self.residency)
+        """Access-weighted fraction of this object served from DRAM (cached)."""
+        if self._fraction is None:
+            self._fraction = float(self._weight @ self._residency)
+        return self._fraction
+
+    def set_pages(self, idx, value: float | np.ndarray) -> None:
+        """Set the residency of pages ``idx`` (index array, mask or slice)."""
+        self._rw[idx] = value
+        self._invalidate()
 
     def set_residency(self, value: float | np.ndarray) -> None:
         """Set residency for every page (scalar broadcast or full vector)."""
         arr = np.asarray(value, dtype=np.float64)
+        rw = self._rw
         if arr.ndim == 0:
-            self.residency[:] = float(arr)
+            rw[:] = float(arr)
         else:
             if arr.shape != (self.n_pages,):
                 raise ValueError("residency vector has wrong length")
-            self.residency[:] = arr
-        if (self.residency < -1e-12).any() or (self.residency > 1 + 1e-12).any():
+            rw[:] = arr
+        self._invalidate()
+        if (rw < -1e-12).any() or (rw > 1 + 1e-12).any():
             raise ValueError("residency must be within [0, 1]")
-        np.clip(self.residency, 0.0, 1.0, out=self.residency)
+        np.clip(rw, 0.0, 1.0, out=rw)
 
     def hottest_pm_pages(self, limit: int | None = None) -> np.ndarray:
         """Indices of pages not yet (fully) in DRAM, hottest first.
@@ -149,6 +219,12 @@ class PageTable:
     :data:`_ARENA_ALIGN` float64 lanes (one cache line) so per-object views
     keep the alignment fresh allocations would have; padding lanes are
     never written and stay zero.
+
+    Both arenas are read-only; every write goes through a
+    :class:`PagedObject` mutator, which drops the memoised
+    :meth:`dram_used_bytes` and :meth:`access_fractions`.  Recomputing them
+    on demand is the same per-object reductions summed in object order, so
+    the memo is bit-identical to a from-scratch recomputation.
     """
 
     #: float64 lanes per arena segment boundary (8 * 8 B = one cache line)
@@ -169,27 +245,33 @@ class PageTable:
         if dram_capacity_bytes < 0:
             raise ValueError("DRAM capacity must be non-negative")
         self.dram_capacity_bytes = dram_capacity_bytes
+        #: memoised ``dram_used_bytes``/``access_fractions``; every object
+        #: holds this dict and clears it on a write
+        self._memo: dict[str, object] = {}
         self._build_arena()
 
     def _build_arena(self) -> None:
         """Adopt every object's page vectors into the shared arenas."""
         objs = list(self._objects.values())
-        starts: list[int] = []
         pos = 0
         align = self._ARENA_ALIGN
+        self._slices: dict[str, slice] = {}
         for o in objs:
-            starts.append(pos)
+            self._slices[o.name] = slice(pos, pos + o.n_pages)
             pos += -(-o.n_pages // align) * align
         self._weight_arena = np.zeros(pos, dtype=np.float64)
-        self._residency_arena = np.zeros(pos, dtype=np.float64)
-        self._slices: dict[str, slice] = {}
-        for o, start in zip(objs, starts):
-            sl = slice(start, start + o.n_pages)
-            self._slices[o.name] = sl
+        rw, self._residency_arena = _guarded(pos)
+        for o in objs:
+            sl = self._slices[o.name]
             self._weight_arena[sl] = o.weight
-            self._residency_arena[sl] = o.residency
-            o.weight = self._weight_arena[sl]
-            o.residency = self._residency_arena[sl]
+            rw[sl] = o.residency
+        self._weight_arena.flags.writeable = False
+        for o in objs:
+            sl = self._slices[o.name]
+            o._weight = self._weight_arena[sl]
+            o._rw = rw[sl]
+            o._residency = self._residency_arena[sl]
+            o._memo = self._memo
 
     # -- pickling: numpy views detach from their base under pickle, so the
     # arena is dropped and rebuilt from the objects' (copied) vectors
@@ -206,7 +288,7 @@ class PageTable:
 
     @property
     def weight_arena(self) -> np.ndarray:
-        """The shared per-page access-weight arena (read-only by convention).
+        """The shared per-page access-weight arena (read-only).
 
         Object segments are located by :meth:`object_slice`; lanes between
         segments are alignment padding and always zero.
@@ -215,11 +297,10 @@ class PageTable:
 
     @property
     def residency_arena(self) -> np.ndarray:
-        """The shared per-page DRAM-residency arena.
+        """The shared per-page DRAM-residency arena (read-only).
 
-        Mutations through an object's ``residency`` view and through this
-        arena are the same memory; batched consumers may read it wholesale
-        instead of walking objects.
+        Objects' ``residency`` views alias this memory, so batched
+        consumers may read it wholesale instead of walking objects.
         """
         return self._residency_arena
 
@@ -252,7 +333,10 @@ class PageTable:
         return sum(o.spec.size_bytes for o in self)
 
     def dram_used_bytes(self) -> float:
-        return sum(o.dram_bytes() for o in self)
+        used = self._memo.get("used")
+        if used is None:
+            used = self._memo["used"] = sum(o.dram_bytes() for o in self)
+        return used
 
     def dram_free_bytes(self) -> float:
         return self.dram_capacity_bytes - self.dram_used_bytes()
@@ -288,7 +372,7 @@ class PageTable:
                 continue
             obj = self.object(name)
             sel = idx[obj.residency[idx] > 1e-12]
-            obj.residency[sel] = 0.0
+            obj.set_pages(sel, 0.0)
             moved += len(sel)
         for name, idx, promote in batch.moves:
             if not promote:
@@ -299,13 +383,21 @@ class PageTable:
             if free <= 0:
                 continue
             sel = sel[:free]
-            obj.residency[sel] = 1.0
+            obj.set_pages(sel, 1.0)
             moved += len(sel)
         return moved
 
     def access_fractions(self) -> dict[str, float]:
-        """Per-object access-weighted DRAM fractions (``r_dram`` inputs)."""
-        return {o.name: o.dram_access_fraction() for o in self}
+        """Per-object access-weighted DRAM fractions (``r_dram`` inputs).
+
+        A fresh copy of the memo, so callers may mutate it freely.
+        """
+        fractions = self._memo.get("fractions")
+        if fractions is None:
+            fractions = self._memo["fractions"] = {
+                o.name: o.dram_access_fraction() for o in self
+            }
+        return dict(fractions)
 
     def sample_pages(
         self, n: int, rng=None, weights: Mapping[str, np.ndarray] | None = None

@@ -83,10 +83,24 @@ def _fitted_models(seed: int, n: int = 240, d: int = 9):
     return tree, gbr, rng
 
 
+def _query_rows(rng, n: int, d: int = 9) -> np.ndarray:
+    """``n`` normal rows, then rows carrying NaN, +-inf, subnormals and
+    signed zeros (the PMC-corrupt fault injects NaN counters): each value
+    filling a whole row, and each alone in every column of a normal row."""
+    specials = (np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 0.0, -0.0)
+    rows = [np.full(d, v) for v in specials]
+    for v in specials:
+        for j in range(d):
+            row = rng.normal(size=d)
+            row[j] = v
+            rows.append(row)
+    return np.vstack([rng.normal(size=(n, d)), *rows])
+
+
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_tree_predictions_bit_identical(seed, monkeypatch):
     tree, _, rng = _fitted_models(seed)
-    Xq = rng.normal(size=(300, 9))
+    Xq = _query_rows(rng, 300)
     monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
     ref = tree.predict(Xq)
     monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
@@ -97,7 +111,7 @@ def test_tree_predictions_bit_identical(seed, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_gbr_predictions_bit_identical(seed, monkeypatch):
     _, gbr, rng = _fitted_models(seed)
-    Xq = rng.normal(size=(500, 9))
+    Xq = _query_rows(rng, 500)
     monkeypatch.setenv("MERCH_SCALAR_KERNELS", "1")
     ref = gbr.predict(Xq)
     monkeypatch.setenv("MERCH_SCALAR_KERNELS", "0")
@@ -107,10 +121,10 @@ def test_gbr_predictions_bit_identical(seed, monkeypatch):
 
 def test_forest_apply_matches_per_tree_apply():
     _, gbr, rng = _fitted_models(3)
-    Xq = rng.normal(size=(128, 9))
+    Xq = _query_rows(rng, 128)
     forest = pack_forest(gbr.trees_)
     leaves = forest_apply(forest, Xq)
-    assert leaves.shape == (len(gbr.trees_), 128)
+    assert leaves.shape == (len(gbr.trees_), len(Xq))
     for k, tree in enumerate(gbr.trees_):
         assert leaves[k].tobytes() == tree_apply(tree.arrays(), Xq).tobytes()
 
@@ -118,10 +132,10 @@ def test_forest_apply_matches_per_tree_apply():
 def test_forest_predict_row_independence():
     """The batching contract: stacked evaluation == per-row evaluation."""
     _, gbr, rng = _fitted_models(5)
-    Xq = rng.normal(size=(64, 9))
+    Xq = _query_rows(rng, 64)
     forest = gbr.forest()
     stacked = forest_predict(forest, Xq, gbr.init_, gbr.learning_rate)
-    for i in range(0, 64, 17):
+    for i in range(0, len(Xq), 17):
         row = forest_predict(forest, Xq[i : i + 1], gbr.init_, gbr.learning_rate)
         assert _bits(stacked[i]) == _bits(row[0])
 
@@ -295,9 +309,9 @@ def test_page_table_arena_aliases_objects():
         assert obj.residency.base is table.residency_arena
         assert obj.weight.base is table.weight_arena
         assert sl.stop - sl.start == obj.n_pages
-        obj.residency[:] = 0.5
+        obj.set_residency(0.5)
         assert float(table.residency_arena[sl][0]) == 0.5
-        obj.residency[:] = 0.0
+        obj.set_residency(0.0)
     # padding lanes between segments stay zero
     covered = np.zeros(len(table.residency_arena), dtype=bool)
     for obj in table:
@@ -326,7 +340,7 @@ def test_page_table_survives_pickle():
     hm = optane_hm_config()
     table = PageTable(wl.objects, hm.dram.capacity_bytes, rng=1)
     first = next(iter(table))
-    first.residency[:] = 1.0
+    first.set_residency(1.0)
     clone = pickle.loads(pickle.dumps(table))
     obj = clone.object(first.name)
     assert obj.residency.base is clone.residency_arena

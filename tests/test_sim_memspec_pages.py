@@ -128,14 +128,14 @@ class TestPagedObject:
 
     def test_hottest_excludes_resident(self):
         obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
-        obj.residency[:2] = 1.0
+        obj.set_pages(slice(0, 2), 1.0)
         idx = obj.hottest_pm_pages()
         assert set(idx) == {2, 3}
 
     def test_coldest_dram_pages(self):
         obj = PagedObject(DataObject("a", 4 * PAGE_SIZE))
         obj.weight = np.array([0.4, 0.3, 0.2, 0.1])
-        obj.residency[:] = 1.0
+        obj.set_residency(1.0)
         assert list(obj.coldest_dram_pages(limit=2)) == [3, 2]
 
 
