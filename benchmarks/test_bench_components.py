@@ -32,8 +32,10 @@ from repro.ml import GradientBoostedRegressor
 from repro.sim import Engine, MachineModel, optane_hm_config
 from repro.sim.counters import collect_pmcs
 from repro.sim.kernels import BreakdownKernel
+from repro.sim.memspec import TopologySpec
 
 HM = optane_hm_config()
+TOPO = TopologySpec.from_hm(HM)
 MODEL = MachineModel()
 
 
@@ -235,16 +237,17 @@ def test_kernel_speedup_greedy_plan(monkeypatch, planner_inputs):
 def test_kernel_speedup_sim_tick(monkeypatch):
     """Per-tick breakdowns for a 96-instance region: batched vs per-instance.
 
-    Both paths must materialise 96 TimeBreakdown objects, which bounds the
-    achievable ratio -- the honest number is pinned, not inflated.
+    Both paths must materialise 96 breakdown objects, which bounds the
+    achievable ratio -- the honest number is pinned, not inflated.  The
+    placement is the 2-tier vector ``(r, 1 - r)`` at ``r = 0.5``.
     """
     fps = [(f"t{i}", s.footprint()) for i, s in enumerate(generate_corpus(96, seed=11))]
-    kern = BreakdownKernel(MODEL, HM, fps)
-    fractions = {a.obj: 0.5 for _, fp in fps for a in fp.accesses}
+    kern = BreakdownKernel(MODEL, TOPO, fps)
+    vectors = {a.obj: (0.5, 0.5) for _, fp in fps for a in fp.accesses}
     ids = [tid for tid, _ in fps]
     _record_speedup(
         monkeypatch, "sim_tick_breakdown", "96 instances",
-        lambda: [MODEL.breakdown(fp, HM, fractions) for _, fp in fps],
-        lambda: kern.breakdown_batch(ids, fractions), floor=1.5,
+        lambda: [MODEL.breakdown(fp, TOPO, vectors) for _, fp in fps],
+        lambda: kern.breakdown_batch(ids, vectors), floor=1.5,
         scalar_rounds=5, kernel_rounds=10,
     )

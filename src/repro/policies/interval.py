@@ -63,20 +63,21 @@ class IntervalReconfigPolicy(PlacementPolicy):
         names: list[str] = []
         pages: list[np.ndarray] = []
         heat: list[np.ndarray] = []
+        current: list[np.ndarray] = []
         for name, idx in sample:
             idx = np.unique(idx)
             r = rates.get(name)
             if r is None:
                 continue
-            names.extend([name] * len(idx))
+            names.append(name)
             pages.append(idx)
             heat.append(r[idx])
+            current.append(page_tiers(table, name)[idx])
         if not pages:
             return
-        all_pages = np.concatenate(pages)
-        all_heat = np.concatenate(heat)
-        name_arr = np.array(names)
-        rank = np.argsort(-all_heat, kind="stable")
+        all_pages = np.concatenate(pages).astype(np.intp, copy=False)
+        obj = np.repeat(np.arange(len(names)), [len(p) for p in pages])
+        rank = np.argsort(-np.concatenate(heat), kind="stable")
 
         # capacity per tier for the sampled population: scale each tier's
         # page capacity by the sample's share of all pages, so the sampled
@@ -88,27 +89,25 @@ class IntervalReconfigPolicy(PlacementPolicy):
         else:
             dram_cap = table.dram_capacity_bytes // PAGE_SIZE
             caps = [max(1, int(dram_cap * frac)), len(all_pages)]
-        current = {name: page_tiers(table, name) for name in set(names)}
-        queue: list[tuple[str, np.ndarray, int]] = []
-        tier, left = 0, caps[0]
-        for i in rank:
-            while left <= 0 and tier < n - 1:
-                tier += 1
-                left = caps[tier]
-            name = name_arr[i]
-            page = int(all_pages[i])
-            left -= 1
-            if current[name][page] != tier:
-                queue.append((name, np.asarray([page], dtype=np.intp), tier))
-        # coalesce adjacent same-(object, tier) single-page moves
-        merged: list[tuple[str, np.ndarray, int]] = []
-        for name, idx, dst in queue:
-            if merged and merged[-1][0] == name and merged[-1][2] == dst:
-                prev_name, prev_idx, prev_dst = merged[-1]
-                merged[-1] = (prev_name, np.concatenate([prev_idx, idx]), prev_dst)
-            else:
-                merged.append((name, idx, dst))
-        self._queue = merged
+        # fill tiers in rank order: the j-th hottest page lands on the first
+        # tier whose cumulative capacity exceeds j (the slowest takes the rest)
+        tier = np.minimum(
+            np.searchsorted(np.cumsum(caps), np.arange(len(rank)), side="right"),
+            n - 1,
+        )
+        moving = np.concatenate(current)[rank] != tier
+        obj, page, tier = obj[rank][moving], all_pages[rank][moving], tier[moving]
+        self._queue = []
+        if not len(obj):
+            return
+        # one queue entry per run of adjacent moves with the same (object, tier)
+        starts = np.flatnonzero(
+            np.r_[True, (obj[1:] != obj[:-1]) | (tier[1:] != tier[:-1])]
+        )
+        ends = np.r_[starts[1:], len(obj)]
+        self._queue = [
+            (names[obj[a]], page[a:b], int(tier[a])) for a, b in zip(starts, ends)
+        ]
 
     def on_tick(self, ctx: EngineContext, dt: float):
         if ctx.time - self._last_scan >= self.interval_s:

@@ -220,14 +220,22 @@ class PlacementServer:
             for batch, res in zip(batches, results):
                 if res.ok:
                     decisions.extend(res.value)
+                elif res.error_type == WorkerCrashed.__name__:
+                    decisions.extend(self._recover_batch(batch, now, res.error_type))
                 else:
-                    decisions.extend(self._recover_batch(batch, now))
+                    # a planner bug, not a crashed worker: never shed it
+                    raise RuntimeError(
+                        f"planning a {len(batch)}-request batch failed: "
+                        f"{res.error_type}: {res.error}\n{res.traceback}"
+                    )
         else:
             for batch in batches:
                 try:
                     decisions.extend(self._plan_one(batch, now))
-                except Exception:
-                    decisions.extend(self._recover_batch(batch, now))
+                except WorkerCrashed as exc:
+                    decisions.extend(
+                        self._recover_batch(batch, now, type(exc).__name__)
+                    )
         self._finish(decisions, now)
         return decisions
 
@@ -252,16 +260,20 @@ class PlacementServer:
         ]
 
     def _recover_batch(
-        self, batch: list[PendingRequest], now: float
+        self, batch: list[PendingRequest], now: float, error_type: str
     ) -> list[PlacementDecision]:
-        """Crash recovery: retry the batch, then shed it -- never lose it."""
+        """Crash recovery: retry the batch, then shed it -- never lose it.
+
+        Only a crashed worker (:class:`WorkerCrashed`) gets here; any other
+        planning error propagates to the caller instead of being shed.
+        """
         self.log.record(
-            "service.batch_crashed", now, requests=len(batch)
+            "service.batch_crashed", now, requests=len(batch), error_type=error_type
         )
         for _ in range(self.max_batch_retries):
             try:
                 retried = self._plan_one(batch, now)
-            except Exception:
+            except WorkerCrashed:
                 continue
             self.log.record(
                 "service.batch_retried", now, requests=len(batch)

@@ -22,14 +22,14 @@ randomness comes from the seeded generator in :class:`EngineContext`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.common import PAGE_SIZE, make_rng, scalar_kernels_enabled
 from repro.sim.faults import FaultInjector, RobustnessReport
-from repro.sim.kernels import BreakdownKernel, TieredBreakdownKernel
-from repro.sim.machine import MachineModel, TieredBreakdown, TimeBreakdown
+from repro.sim.kernels import BreakdownKernel
+from repro.sim.machine import MachineModel, TieredBreakdown
 from repro.sim.memspec import HMConfig, TopologySpec
 from repro.sim.pages import (
     MigrationBatch,
@@ -125,8 +125,9 @@ class EngineContext:
         """Current per-object access-weighted DRAM fractions."""
         return self.page_table.access_fractions()
 
-    def tier_fraction_vectors(self) -> "dict[str, np.ndarray]":
-        """Per-object per-tier access-fraction vectors (N-tier runs)."""
+    def tier_fraction_vectors(self) -> "dict[str, Sequence[float]]":
+        """Per-object per-tier access-fraction vectors, fastest tier first
+        (``(r, 1 - r)`` on a 2-tier table)."""
         return self.page_table.access_fraction_vectors()
 
     def active_instances(self) -> list[TaskInstanceSpec]:
@@ -661,18 +662,40 @@ class Engine:
     # ------------------------------------------------------------------
     def _refresh_times(self, ctx: EngineContext) -> None:
         assert ctx.region is not None
-        if self._tiered:
-            vectors = ctx.tier_fraction_vectors()
-            for inst in ctx.region.instances:
-                ctx.instance_times[inst.task_id] = self.machine.breakdown_tiered(
-                    inst.footprint, self.topology, vectors
-                ).total_s
-            return
-        fractions = ctx.dram_fractions()
+        vectors = ctx.tier_fraction_vectors()
         for inst in ctx.region.instances:
-            ctx.instance_times[inst.task_id] = self.machine.instance_time(
-                inst.footprint, self.hm, fractions
-            )
+            ctx.instance_times[inst.task_id] = self.machine.breakdown(
+                inst.footprint, self.topology, vectors
+            ).total_s
+
+    def _region_kernel(self, region: ParallelRegion) -> BreakdownKernel | None:
+        """The batched tick kernel for ``region``: it hoists the
+        placement-independent parts of every instance's breakdown out of
+        the tick loop (PERFORMANCE.md).  ``None`` on the MERCH_SCALAR_KERNELS
+        path, which prices with the per-instance scalar model; both paths
+        are bit-identical."""
+        if scalar_kernels_enabled():
+            return None
+        return BreakdownKernel(
+            self.machine,
+            self.topology,
+            [(inst.task_id, inst.footprint) for inst in region.instances],
+        )
+
+    def _breakdowns(
+        self,
+        kernel: BreakdownKernel | None,
+        active: Sequence[TaskInstanceSpec],
+        vectors: Mapping[str, Sequence[float]],
+    ) -> "Iterable[tuple[TaskInstanceSpec, TieredBreakdown]]":
+        """``(instance, breakdown)`` for every active instance under the
+        per-object fraction vectors."""
+        if kernel is not None:
+            return zip(active, kernel.breakdown_batch([i.task_id for i in active], vectors))
+        return (
+            (inst, self.machine.breakdown(inst.footprint, self.topology, vectors))
+            for inst in active
+        )
 
     # ------------------------------------------------------------------
     def _run_region(
@@ -710,17 +733,7 @@ class Engine:
         ctx.migration_budget_pages = max(1, int(mig_budget_bytes // PAGE_SIZE))
         ctx.failed_migrations.clear()
 
-        # batched tick kernel: hoists the placement-independent parts of
-        # every instance's breakdown out of the tick loop (PERFORMANCE.md).
-        # The MERCH_SCALAR_KERNELS escape hatch keeps the per-instance
-        # scalar model; both paths are bit-identical.
-        kernel: BreakdownKernel | None = None
-        if not scalar_kernels_enabled():
-            kernel = BreakdownKernel(
-                self.machine,
-                self.hm,
-                [(inst.task_id, inst.footprint) for inst in region.instances],
-            )
+        kernel = self._region_kernel(region)
 
         ticks = 0
         while len(finish) < len(region.instances):
@@ -738,7 +751,7 @@ class Engine:
                     if all(dep in finish for dep in gates[tid]):
                         ctx.gated.discard(tid)
                         released[tid] = ctx.time
-            fractions = ctx.dram_fractions()
+            vectors = ctx.tier_fraction_vectors()
             active = ctx.active_instances()
             if not active and ctx.gated:
                 # unreachable for validated DAG gates (ParallelRegion rejects
@@ -751,27 +764,17 @@ class Engine:
             # phase 1: unconstrained progress and per-tier byte demand.
             # Demand sums stay sequential Python adds in instance order so
             # both breakdown paths produce the same contention scaling.
-            dprog: dict[str, float] = {}
-            bds: dict[str, TimeBreakdown] = {}
+            #: task id -> (unconstrained progress, DRAM bytes, PM bytes)
+            work: dict[str, tuple[float, float, float]] = {}
             demand_dram = 0.0
             demand_pm = 0.0
-            if kernel is not None:
-                bd_batch = kernel.breakdown_batch(
-                    [inst.task_id for inst in active], fractions
-                )
-                breakdowns = zip(active, bd_batch)
-            else:
-                breakdowns = (
-                    (inst, self.machine.breakdown(inst.footprint, self.hm, fractions))
-                    for inst in active
-                )
-            for inst, bd in breakdowns:
-                bds[inst.task_id] = bd
+            for inst, bd in self._breakdowns(kernel, active, vectors):
                 ctx.instance_times[inst.task_id] = bd.total_s
                 d = dt / max(bd.total_s, 1e-12)
-                dprog[inst.task_id] = d
-                demand_dram += d * bd.dram_bytes
-                demand_pm += d * bd.pm_bytes
+                b_dram, b_pm = bd.tier_bytes(0), bd.tier_bytes(1)
+                work[inst.task_id] = (d, b_dram, b_pm)
+                demand_dram += d * b_dram
+                demand_pm += d * b_pm
 
             # phase 2: bandwidth contention scaling per tier.  Transient
             # PM-bandwidth degradation (an injected environment fault)
@@ -789,14 +792,14 @@ class Engine:
             tick_dram_bytes = 0.0
             tick_pm_bytes = 0.0
             for inst in active:
-                bd = bds[inst.task_id]
-                total_bytes = bd.dram_bytes + bd.pm_bytes
+                d, b_dram, b_pm = work[inst.task_id]
+                total_bytes = b_dram + b_pm
                 if total_bytes > 0:
-                    w_d = bd.dram_bytes / total_bytes
+                    w_d = b_dram / total_bytes
                     scale = w_d * s_dram + (1.0 - w_d) * s_pm
                 else:
                     scale = 1.0
-                step = dprog[inst.task_id] * scale
+                step = d * scale
                 prev = ctx.progress[inst.task_id]
                 new = prev + step
                 if new >= 1.0:
@@ -806,10 +809,10 @@ class Engine:
                     new = 1.0
                 ctx.progress[inst.task_id] = new
                 done = new - prev
-                # bd.*_bytes are whole-instance totals; this tick moved the
+                # the bytes are whole-instance totals; this tick moved the
                 # completed fraction of them
-                tick_dram_bytes += done * bd.dram_bytes
-                tick_pm_bytes += done * bd.pm_bytes
+                tick_dram_bytes += done * b_dram
+                tick_pm_bytes += done * b_pm
 
             # DRAM capacity-pressure spike: an external allocation steals
             # capacity, so the kernel demotes our coldest pages to make room
@@ -979,13 +982,7 @@ class Engine:
         ctx.migration_budget_pages = max(1, int(mig_budget_bytes // PAGE_SIZE))
         ctx.failed_migrations.clear()
 
-        kernel: TieredBreakdownKernel | None = None
-        if not scalar_kernels_enabled():
-            kernel = TieredBreakdownKernel(
-                self.machine,
-                topo,
-                [(inst.task_id, inst.footprint) for inst in region.instances],
-            )
+        kernel = self._region_kernel(region)
 
         ticks = 0
         while len(finish) < len(region.instances):
@@ -1011,20 +1008,7 @@ class Engine:
             dprog: dict[str, float] = {}
             bds: dict[str, TieredBreakdown] = {}
             demand = [0.0] * n
-            if kernel is not None:
-                bd_batch = kernel.breakdown_batch(
-                    [inst.task_id for inst in active], vectors
-                )
-                breakdowns = zip(active, bd_batch)
-            else:
-                breakdowns = (
-                    (
-                        inst,
-                        self.machine.breakdown_tiered(inst.footprint, topo, vectors),
-                    )
-                    for inst in active
-                )
-            for inst, bd in breakdowns:
+            for inst, bd in self._breakdowns(kernel, active, vectors):
                 bds[inst.task_id] = bd
                 ctx.instance_times[inst.task_id] = bd.total_s
                 d = dt / max(bd.total_s, 1e-12)
@@ -1240,17 +1224,6 @@ def _plan_pressure_evictions(
             plan.append((obj.name, cold))
             picked += len(cold)
     return plan
-
-
-def _evict_for_pressure(table: PageTable, pressure_bytes: int) -> int:
-    """Demote the coldest DRAM pages until the table fits the capacity left
-    over by an external pressure spike.  Returns pages evicted."""
-    plan = _plan_pressure_evictions(table, pressure_bytes)
-    if not plan:
-        return 0
-    return table.apply_batch(
-        MigrationBatch(moves=tuple((name, idx, False) for name, idx in plan))
-    )
 
 
 def _clamp_batch(batch: MigrationBatch, max_pages: int) -> MigrationBatch:

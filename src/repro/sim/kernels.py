@@ -1,6 +1,6 @@
 """Batched tick kernel for the virtual-time engine (PERFORMANCE.md).
 
-The engine's phase-1 loop computes a :class:`~repro.sim.machine.TimeBreakdown`
+The engine's phase-1 loop computes a :class:`~repro.sim.machine.TieredBreakdown`
 for every active instance on every tick.  The scalar
 :meth:`MachineModel.breakdown` re-derives, per call, everything that does
 not depend on the placement: the per-pattern accumulation structure, tier
@@ -10,29 +10,32 @@ factor.  :class:`BreakdownKernel` hoists all of that to region start:
 * access tensors -- flat arrays of (instance row, pattern slot, object
   column, reads, writes) covering every ``ObjectAccess`` of the region, in
   footprint order;
-* per-(instance, slot) latency/MLP constants, where a "slot" is a pattern's
-  first-appearance rank within its footprint (<= 4 slots, one per
-  :class:`~repro.common.AccessPattern`);
+* per-(tier, instance, slot) latency and per-(instance, slot) MLP
+  constants, where a "slot" is a pattern's first-appearance rank within its
+  footprint (<= 4 slots, one per :class:`~repro.common.AccessPattern`);
 * per-instance ``cpu_s`` and overlap ``beta`` scalars.
 
-Per tick, one ordered ``np.add.at`` scatter-add rebuilds the per-tier
-(reads, writes) buckets for *all* instances at once, and the rest of the
-model is elementwise over instances.  Bit-identity with the scalar model
-holds because every float reduction keeps the scalar loop's order:
-``np.add.at`` adds in element order (= access order), slot accumulation
-walks slots in first-appearance order, and unused slots contribute an
-exact ``+0.0`` (an identity on the non-negative values involved).
+Per tick, one ordered ``np.bincount`` scatter-add per counter (reads,
+writes) rebuilds the per-(tier, instance, slot) buckets for *all* tiers
+and instances at once, and the rest of the model is elementwise.
+Bit-identity with the scalar model holds because every float reduction
+keeps the scalar loop's order: ``np.bincount`` adds each bucket's weights
+in element order (= access order, exactly like ``np.add.at``), slot
+accumulation walks slots in first-appearance order, unused slots
+contribute an exact ``+0.0`` (an identity on the non-negative values
+involved), and the q-norm is taken per instance with Python floats.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.common import CACHE_LINE
-from repro.sim.machine import MachineModel, TieredBreakdown, TimeBreakdown
-from repro.sim.memspec import HMConfig, TopologySpec
+from repro.sim.machine import MachineModel, TieredBreakdown
+from repro.sim.memspec import TopologySpec
 from repro.tasks.task import Footprint
 
 __all__ = ["BreakdownKernel", "TieredBreakdownKernel"]
@@ -46,191 +49,10 @@ class BreakdownKernel:
 
     Built once per region from ``(task_id, footprint)`` pairs; each
     :meth:`breakdown_batch` call then prices any subset of those instances
-    under the current placement with a handful of numpy passes.  Only the
-    engine's configuration is supported (``bandwidth_derate == 1.0``);
-    contention is applied by the engine after the breakdown, exactly as on
-    the scalar path.
-    """
-
-    def __init__(
-        self,
-        machine: MachineModel,
-        hm: HMConfig,
-        footprints: Sequence[tuple[str, Footprint]],
-    ) -> None:
-        spec = machine.spec
-        self._rows: dict[str, int] = {}
-        self._obj_cols: dict[str, int] = {}
-        n_inst = len(footprints)
-
-        inst_idx: list[int] = []
-        slot_idx: list[int] = []
-        obj_idx: list[int] = []
-        reads: list[float] = []
-        writes: list[float] = []
-        lat_dram = np.zeros((n_inst, _MAX_SLOTS))
-        lat_pm = np.zeros((n_inst, _MAX_SLOTS))
-        mlp = np.ones((n_inst, _MAX_SLOTS))
-        cpu = np.zeros(n_inst)
-        beta = np.zeros(n_inst)
-
-        for i, (task_id, fp) in enumerate(footprints):
-            if task_id in self._rows:
-                raise ValueError(f"duplicate task id {task_id!r}")
-            self._rows[task_id] = i
-            slots: dict = {}
-            for a in fp.accesses:
-                s = slots.setdefault(a.pattern, len(slots))
-                inst_idx.append(i)
-                slot_idx.append(s)
-                obj_idx.append(self._obj_cols.setdefault(a.obj, len(self._obj_cols)))
-                reads.append(float(a.reads))
-                writes.append(float(a.writes))
-            for pattern, s in slots.items():
-                random = pattern.value == "random"
-                lat_dram[i, s] = hm.dram.latency_ns(random=random)
-                lat_pm[i, s] = hm.pm.latency_ns(random=random)
-                mlp[i, s] = spec.mlp[pattern]
-            cpu[i] = machine.cpu_time(fp)
-            mix = fp.pattern_mix()
-            beta[i] = (
-                sum(spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
-            )
-
-        self._inst_idx = np.asarray(inst_idx, dtype=np.intp)
-        self._slot_idx = np.asarray(slot_idx, dtype=np.intp)
-        self._obj_idx = np.asarray(obj_idx, dtype=np.intp)
-        self._reads = np.asarray(reads, dtype=np.float64)
-        self._writes = np.asarray(writes, dtype=np.float64)
-        self._lat_dram = lat_dram
-        self._lat_pm = lat_pm
-        self._mlp = mlp
-        self._cpu = cpu
-        self._beta = beta
-        self._q = spec.tier_overlap_q
-        self._dram_rbw = hm.dram.read_bandwidth
-        self._dram_wbw = hm.dram.write_bandwidth
-        self._pm_rbw = hm.pm.read_bandwidth
-        self._pm_wbw = hm.pm.write_bandwidth
-        self._n_inst = n_inst
-
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(self._rows)
-
-    def _object_ratios(self, dram_fractions: Mapping[str, float]) -> np.ndarray:
-        # _obj_cols maps names to 0..n-1 in insertion order, so iterating
-        # its keys fills column order directly; clip(v, 0, 1) returns the
-        # same bits as min(1.0, max(0.0, v)) for every float
-        vals = np.fromiter(
-            (dram_fractions.get(name, 0.0) for name in self._obj_cols),
-            dtype=np.float64,
-            count=len(self._obj_cols),
-        )
-        return np.clip(vals, 0.0, 1.0)
-
-    def breakdown_batch(
-        self,
-        task_ids: Sequence[str],
-        dram_fractions: Mapping[str, float],
-    ) -> list[TimeBreakdown]:
-        """Breakdowns for ``task_ids`` under the given placement.
-
-        Returns one :class:`TimeBreakdown` per requested id, in order,
-        bit-identical to calling the scalar ``machine.breakdown`` per
-        instance with the same fractions.
-        """
-        r_obj = self._object_ratios(dram_fractions)
-        r = r_obj[self._obj_idx]
-
-        shape = (self._n_inst, _MAX_SLOTS)
-        dr = np.zeros(shape)
-        dw = np.zeros(shape)
-        pr = np.zeros(shape)
-        pw = np.zeros(shape)
-        at = (self._inst_idx, self._slot_idx)
-        # ordered scatter-add: element order == footprint access order, so
-        # each (instance, slot) bucket accumulates exactly like the scalar
-        # dict loop in MachineModel.breakdown
-        np.add.at(dr, at, self._reads * r)
-        np.add.at(dw, at, self._writes * r)
-        np.add.at(pr, at, self._reads * (1 - r))
-        np.add.at(pw, at, self._writes * (1 - r))
-
-        t_dram, d_rb, d_wb = self._tier_time_batch(
-            dr, dw, self._lat_dram, self._dram_rbw, self._dram_wbw
-        )
-        t_pm, p_rb, p_wb = self._tier_time_batch(
-            pr, pw, self._lat_pm, self._pm_rbw, self._pm_wbw
-        )
-        # the q-norm stays scalar per instance: numpy's SIMD pow differs
-        # from libm pow in the last bit for ~5% of inputs, which would
-        # break bit-identity with the scalar model.  Everything else here
-        # is exactly-rounded IEEE arithmetic (add/mul/div/min/max), where
-        # vector and scalar paths agree bit for bit.
-        q = self._q
-        t_mem = np.empty(self._n_inst)
-        for i in range(self._n_inst):
-            td, tp = float(t_dram[i]), float(t_pm[i])
-            t_mem[i] = (td**q + tp**q) ** (1.0 / q) if (td or tp) else 0.0
-        total = np.maximum(self._cpu, t_mem) + (1.0 - self._beta) * np.minimum(
-            self._cpu, t_mem
-        )
-
-        out = []
-        for tid in task_ids:
-            i = self._rows[tid]
-            out.append(
-                TimeBreakdown(
-                    total_s=float(total[i]),
-                    cpu_s=float(self._cpu[i]),
-                    mem_s=float(t_mem[i]),
-                    dram_s=float(t_dram[i]),
-                    pm_s=float(t_pm[i]),
-                    dram_read_bytes=float(d_rb[i]),
-                    dram_write_bytes=float(d_wb[i]),
-                    pm_read_bytes=float(p_rb[i]),
-                    pm_write_bytes=float(p_wb[i]),
-                )
-            )
-        return out
-
-    def _tier_time_batch(
-        self,
-        reads: np.ndarray,
-        writes: np.ndarray,
-        lat_ns: np.ndarray,
-        read_bw: float,
-        write_bw: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vector twin of ``MachineModel._tier_time`` over all instances.
-
-        Slots are reduced sequentially (first-appearance order, like the
-        scalar dict walk).  Empty slots have zero counts, so their terms
-        are an exact ``+0.0``; the per-term expression keeps the scalar's
-        operation order ``((n * lat) * 1e-9) / mlp``.
-        """
-        latency = np.zeros(reads.shape[0])
-        read_bytes = np.zeros(reads.shape[0])
-        write_bytes = np.zeros(reads.shape[0])
-        for s in range(reads.shape[1]):
-            n = reads[:, s] + writes[:, s]
-            latency += n * lat_ns[:, s] * 1e-9 / self._mlp[:, s]
-            read_bytes += reads[:, s] * CACHE_LINE
-            write_bytes += writes[:, s] * CACHE_LINE
-        bandwidth = read_bytes / read_bw + write_bytes / write_bw
-        return np.maximum(latency, bandwidth), read_bytes, write_bytes
-
-
-class TieredBreakdownKernel:
-    """N-tier twin of :class:`BreakdownKernel`.
-
-    Same hoisted access tensors, but latency constants and scatter targets
-    exist per tier, and placements are per-object *fraction vectors*
-    (fastest tier first) instead of scalar DRAM ratios.  Bit-identical to
-    scalar :meth:`MachineModel.breakdown_tiered` by the same argument as
-    the 2-tier kernel: ordered scatter-adds, first-appearance slot
-    reduction, scalar per-instance q-norm.
+    under the current placement (per-object fraction vectors, fastest tier
+    first) with a handful of numpy passes.  Only the engine's configuration
+    is supported (no bandwidth derates); contention is applied by the
+    engine after the breakdown, exactly as on the scalar path.
     """
 
     def __init__(
@@ -240,7 +62,6 @@ class TieredBreakdownKernel:
         footprints: Sequence[tuple[str, Footprint]],
     ) -> None:
         spec = machine.spec
-        self._topo = topo
         n_tiers = topo.n_tiers
         self._rows: dict[str, int] = {}
         self._obj_cols: dict[str, int] = {}
@@ -251,10 +72,10 @@ class TieredBreakdownKernel:
         obj_idx: list[int] = []
         reads: list[float] = []
         writes: list[float] = []
-        lat = [np.zeros((n_inst, _MAX_SLOTS)) for _ in range(n_tiers)]
+        lat = np.zeros((n_tiers, n_inst, _MAX_SLOTS))
         mlp = np.ones((n_inst, _MAX_SLOTS))
-        cpu = np.zeros(n_inst)
-        beta = np.zeros(n_inst)
+        cpu: list[float] = []
+        beta: list[float] = []
 
         for i, (task_id, fp) in enumerate(footprints):
             if task_id in self._rows:
@@ -271,28 +92,39 @@ class TieredBreakdownKernel:
             for pattern, s in slots.items():
                 random = pattern.value == "random"
                 for k, tier in enumerate(topo.tiers):
-                    lat[k][i, s] = tier.latency_ns(random=random)
+                    lat[k, i, s] = tier.latency_ns(random=random)
                 mlp[i, s] = spec.mlp[pattern]
-            cpu[i] = machine.cpu_time(fp)
+            cpu.append(machine.cpu_time(fp))
             mix = fp.pattern_mix()
-            beta[i] = (
+            beta.append(
                 sum(spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
             )
 
-        self._inst_idx = np.asarray(inst_idx, dtype=np.intp)
-        self._slot_idx = np.asarray(slot_idx, dtype=np.intp)
+        # slots no instance uses would only add exact zeros: drop them
+        n_slots = max(slot_idx, default=0) + 1
+        lat = lat[:, :, :n_slots]
+        mlp = mlp[:, :n_slots]
+        n_buckets = n_inst * n_slots
+        bucket = np.asarray(inst_idx, dtype=np.intp) * n_slots + np.asarray(
+            slot_idx, dtype=np.intp
+        )
+        #: tier-major bucket ids: tier k's copy of the accesses fills
+        #: buckets [k * n_buckets, (k + 1) * n_buckets) in access order
+        self._bins = (np.arange(n_tiers)[:, None] * n_buckets + bucket).ravel()
+        self._n_bins = n_tiers * n_buckets
         self._obj_idx = np.asarray(obj_idx, dtype=np.intp)
         self._reads = np.asarray(reads, dtype=np.float64)
         self._writes = np.asarray(writes, dtype=np.float64)
         self._lat = lat
         self._mlp = mlp
         self._cpu = cpu
-        self._beta = beta
+        self._one_minus_beta = [1.0 - b for b in beta]
         self._q = spec.tier_overlap_q
-        self._rbw = tuple(t.read_bandwidth for t in topo.tiers)
-        self._wbw = tuple(t.write_bandwidth for t in topo.tiers)
-        self._n_inst = n_inst
+        self._rbw = np.array([t.read_bandwidth for t in topo.tiers])[:, None]
+        self._wbw = np.array([t.write_bandwidth for t in topo.tiers])[:, None]
+        self._shape = (n_tiers, n_inst, n_slots)
         self._n_tiers = n_tiers
+        self._default = (0.0,) * (n_tiers - 1) + (1.0,)
 
     @property
     def task_ids(self) -> tuple[str, ...]:
@@ -304,71 +136,92 @@ class TieredBreakdownKernel:
         """(n_obj, n_tiers) clipped fraction matrix in column order.
 
         Missing objects default to all-in-slowest, matching the scalar
-        ``breakdown_tiered``.
+        ``breakdown``; ``clip(v, 0, 1)`` returns the same bits as the
+        scalar ``min(1.0, max(0.0, v))`` for every float.
         """
         n = self._n_tiers
-        default = (0.0,) * (n - 1) + (1.0,)
-        mat = np.empty((len(self._obj_cols), n), dtype=np.float64)
-        for row, name in enumerate(self._obj_cols):
-            f = tier_fractions.get(name, default)
-            if len(f) != n:
-                raise ValueError(
-                    f"object {name!r}: fraction vector has {len(f)} entries "
-                    f"for a {n}-tier topology"
-                )
-            mat[row, :] = f
-        return np.clip(mat, 0.0, 1.0)
+        get = tier_fractions.get
+        rows = [get(name, self._default) for name in self._obj_cols]
+        if any(len(f) != n for f in rows):
+            name, f = next((k, f) for k, f in zip(self._obj_cols, rows) if len(f) != n)
+            raise ValueError(
+                f"object {name!r}: fraction vector has {len(f)} entries "
+                f"for a {n}-tier topology"
+            )
+        mat = np.fromiter(
+            chain.from_iterable(rows), dtype=np.float64, count=len(rows) * n
+        ).reshape(len(rows), n)
+        return np.minimum(np.maximum(mat, 0.0), 1.0)
 
     def breakdown_batch(
         self,
         task_ids: Sequence[str],
         tier_fractions: Mapping[str, Sequence[float]],
     ) -> list[TieredBreakdown]:
-        """Tiered breakdowns for ``task_ids``, bit-identical to calling the
-        scalar ``machine.breakdown_tiered`` per instance."""
-        f_obj = self._object_fractions(tier_fractions)
-        shape = (self._n_inst, _MAX_SLOTS)
-        at = (self._inst_idx, self._slot_idx)
+        """Breakdowns for ``task_ids`` under the given placement.
 
-        tier_t = []
-        tier_rb = []
-        tier_wb = []
-        for k in range(self._n_tiers):
-            fk = f_obj[self._obj_idx, k]
-            rk = np.zeros(shape)
-            wk = np.zeros(shape)
-            # element order == footprint access order, like the scalar loop
-            np.add.at(rk, at, self._reads * fk)
-            np.add.at(wk, at, self._writes * fk)
-            t, rb, wb = self._tier_time_batch(rk, wk, self._lat[k], self._rbw[k], self._wbw[k])
-            tier_t.append(t)
-            tier_rb.append(rb)
-            tier_wb.append(wb)
+        Returns one :class:`TieredBreakdown` per requested id, in order,
+        bit-identical to calling the scalar ``machine.breakdown`` per
+        instance with the same fraction vectors.
+        """
+        # (n_tiers, n_access) per-tier fractions of every access, tier-major
+        f = self._object_fractions(tier_fractions)[self._obj_idx].T
+        reads = np.bincount(
+            self._bins, weights=(self._reads * f).ravel(), minlength=self._n_bins
+        ).reshape(self._shape)
+        writes = np.bincount(
+            self._bins, weights=(self._writes * f).ravel(), minlength=self._n_bins
+        ).reshape(self._shape)
 
-        # scalar per-instance q-norm: the generator sum in breakdown_tiered
-        # reduces tiers sequentially starting at 0, mirrored exactly here
-        q = self._q
-        t_mem = np.empty(self._n_inst)
-        for i in range(self._n_inst):
-            ts = [float(t[i]) for t in tier_t]
-            t_mem[i] = sum(t**q for t in ts) ** (1.0 / q) if any(ts) else 0.0
-        total = np.maximum(self._cpu, t_mem) + (1.0 - self._beta) * np.minimum(
-            self._cpu, t_mem
+        # Vector form of MachineModel._tier_time over all tiers and
+        # instances: each term keeps the scalar's ((n * lat) * 1e-9) / mlp
+        # order, and slots reduce sequentially in first-appearance order
+        # (the scalar's running sums start at +0.0, an identity here).
+        terms = (reads + writes) * self._lat * 1e-9 / self._mlp
+        reads *= CACHE_LINE
+        writes *= CACHE_LINE
+        latency = terms[:, :, 0]
+        read_bytes = reads[:, :, 0]
+        write_bytes = writes[:, :, 0]
+        for s in range(1, self._shape[2]):
+            latency = latency + terms[:, :, s]
+            read_bytes = read_bytes + reads[:, :, s]
+            write_bytes = write_bytes + writes[:, :, s]
+        tier_t = np.maximum(
+            latency, read_bytes / self._rbw + write_bytes / self._wbw
         )
 
+        # Only the requested rows leave the kernel.  The q-norm stays in
+        # Python floats: numpy's SIMD pow differs from libm pow in the last
+        # bit for ~5% of inputs, and ``sum`` matches the scalar generator
+        # sum term for term.
+        rows = [self._rows[tid] for tid in task_ids]
+        q = self._q
+        inv_q = 1.0 / q
+        cpu = self._cpu
+        omb = self._one_minus_beta
         out = []
-        for tid in task_ids:
-            i = self._rows[tid]
+        for i, ts, rb, wb in zip(
+            rows,
+            zip(*tier_t[:, rows].tolist()),
+            zip(*read_bytes[:, rows].tolist()),
+            zip(*write_bytes[:, rows].tolist()),
+        ):
+            t_mem = sum([t**q for t in ts]) ** inv_q if any(ts) else 0.0
+            t_cpu = cpu[i]
             out.append(
                 TieredBreakdown(
-                    total_s=float(total[i]),
-                    cpu_s=float(self._cpu[i]),
-                    mem_s=float(t_mem[i]),
-                    tier_s=tuple(float(t[i]) for t in tier_t),
-                    tier_read_bytes=tuple(float(b[i]) for b in tier_rb),
-                    tier_write_bytes=tuple(float(b[i]) for b in tier_wb),
+                    total_s=max(t_cpu, t_mem) + omb[i] * min(t_cpu, t_mem),
+                    cpu_s=t_cpu,
+                    mem_s=t_mem,
+                    tier_s=ts,
+                    tier_read_bytes=rb,
+                    tier_write_bytes=wb,
                 )
             )
         return out
 
-    _tier_time_batch = BreakdownKernel._tier_time_batch
+
+#: Former name of the N-tier kernel, kept so code that names it (the
+#: benchmark's per-layer tracer) finds the one kernel.
+TieredBreakdownKernel = BreakdownKernel

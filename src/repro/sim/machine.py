@@ -2,7 +2,9 @@
 
 This is the simulator's stand-in for the physical machine: given a task
 instance's :class:`~repro.tasks.task.Footprint` and the current per-object
-DRAM access fractions, it computes how long the instance takes.
+access fractions on each memory tier, it computes how long the instance
+takes.  One model serves every tier count; the paper's 2-tier machine is
+the topology (DRAM, PM) with per-object fractions ``(r_dram, 1 - r_dram)``.
 
 The model (DESIGN.md Section 5) is deliberately *nonlinear* in the DRAM
 ratio ``r_dram``:
@@ -10,7 +12,7 @@ ratio ``r_dram``:
 * regular patterns are bandwidth-bound and deeply pipelined (high
   memory-level parallelism), random patterns are latency-bound (MLP ~ 1.5);
 * memory time overlaps with compute to a pattern-dependent degree;
-* traffic to the two tiers partially overlaps (p-norm combination).
+* traffic to the tiers partially overlaps (p-norm combination).
 
 Merchandiser's learned correlation function ``f`` (Section 5 of the paper)
 never sees these internals -- only synthetic performance counters and the two
@@ -21,15 +23,13 @@ problem, just as learning it from real hardware is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
-
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.common import CACHE_LINE, AccessPattern
 from repro.sim.memspec import HMConfig, TierSpec, TopologySpec
 from repro.tasks.task import Footprint
 
-__all__ = ["MachineSpec", "TimeBreakdown", "TieredBreakdown", "MachineModel"]
+__all__ = ["MachineSpec", "TieredBreakdown", "MachineModel"]
 
 
 @dataclass(frozen=True)
@@ -77,35 +77,11 @@ class MachineSpec:
 
 
 @dataclass(frozen=True)
-class TimeBreakdown:
-    """Where an instance's time goes, plus tier traffic for the engine."""
-
-    total_s: float
-    cpu_s: float
-    mem_s: float
-    dram_s: float
-    pm_s: float
-    dram_read_bytes: float
-    dram_write_bytes: float
-    pm_read_bytes: float
-    pm_write_bytes: float
-
-    @property
-    def dram_bytes(self) -> float:
-        return self.dram_read_bytes + self.dram_write_bytes
-
-    @property
-    def pm_bytes(self) -> float:
-        return self.pm_read_bytes + self.pm_write_bytes
-
-
-@dataclass(frozen=True)
 class TieredBreakdown:
-    """Where an instance's time goes on an N-tier topology.
+    """Where an instance's time goes, plus per-tier traffic for the engine.
 
-    Per-tier tuples are ordered like the topology (fastest first).  On a
-    2-tier topology every field matches :class:`TimeBreakdown` bit-exactly
-    when the fraction vectors are ``(r, 1 - r)``.
+    Per-tier tuples are ordered like the topology (fastest first); on the
+    2-tier machine index 0 is DRAM and index 1 is PM.
     """
 
     total_s: float
@@ -120,7 +96,7 @@ class TieredBreakdown:
 
 
 class MachineModel:
-    """Computes instance execution times on a given HM configuration."""
+    """Computes instance execution times on a given memory topology."""
 
     def __init__(self, spec: MachineSpec | None = None) -> None:
         self.spec = spec or MachineSpec()
@@ -141,6 +117,7 @@ class MachineModel:
     def _tier_time(
         self,
         tier: TierSpec,
+        derate: float,
         accesses: Mapping[AccessPattern, tuple[float, float]],
     ) -> tuple[float, float, float]:
         """Time, read bytes, write bytes for one tier.
@@ -148,7 +125,7 @@ class MachineModel:
         ``accesses[p] = (reads, writes)`` counts cache-line accesses of
         pattern ``p`` hitting this tier.  Tier time is the max of the
         latency-bound estimate (serialised by limited MLP) and the
-        bandwidth-bound estimate.
+        bandwidth-bound estimate at ``derate`` times the tier's bandwidth.
         """
         spec = self.spec
         latency_s = 0.0
@@ -162,95 +139,42 @@ class MachineModel:
             latency_s += n * lat_ns * 1e-9 / spec.mlp[pattern]
             read_bytes += reads * CACHE_LINE
             write_bytes += writes * CACHE_LINE
-        bandwidth_s = read_bytes / tier.read_bandwidth + write_bytes / tier.write_bandwidth
+        bandwidth_s = read_bytes / (tier.read_bandwidth * derate) + write_bytes / (
+            tier.write_bandwidth * derate
+        )
         return max(latency_s, bandwidth_s), read_bytes, write_bytes
 
     # ------------------------------------------------------------------
     def breakdown(
         self,
         footprint: Footprint,
-        hm: HMConfig,
-        dram_fractions: Mapping[str, float],
-        bandwidth_derate: float = 1.0,
-    ) -> TimeBreakdown:
-        """Full time breakdown for an instance under a placement.
-
-        ``dram_fractions[obj]`` is the access-weighted DRAM fraction of each
-        object (missing objects default to 0 = all-PM).  ``bandwidth_derate``
-        models contention: effective bandwidth is ``bw * derate``.
-        """
-        if not 0.0 < bandwidth_derate <= 1.0:
-            raise ValueError("bandwidth_derate must be in (0, 1]")
-        dram_acc: dict[AccessPattern, tuple[float, float]] = {}
-        pm_acc: dict[AccessPattern, tuple[float, float]] = {}
-        for a in footprint.accesses:
-            r = float(dram_fractions.get(a.obj, 0.0))
-            r = min(1.0, max(0.0, r))
-            dr, dw = dram_acc.get(a.pattern, (0.0, 0.0))
-            dram_acc[a.pattern] = (dr + a.reads * r, dw + a.writes * r)
-            pr, pw = pm_acc.get(a.pattern, (0.0, 0.0))
-            pm_acc[a.pattern] = (pr + a.reads * (1 - r), pw + a.writes * (1 - r))
-
-        # apply contention by scaling bandwidths down
-        def derated(tier: TierSpec) -> TierSpec:
-            if bandwidth_derate >= 1.0:
-                return tier
-            return TierSpec(
-                name=tier.name,
-                capacity_bytes=tier.capacity_bytes,
-                seq_read_latency_ns=tier.seq_read_latency_ns,
-                rand_read_latency_ns=tier.rand_read_latency_ns,
-                read_bandwidth=tier.read_bandwidth * bandwidth_derate,
-                write_bandwidth=tier.write_bandwidth * bandwidth_derate,
-            )
-
-        t_dram, d_rb, d_wb = self._tier_time(derated(hm.dram), dram_acc)
-        t_pm, p_rb, p_wb = self._tier_time(derated(hm.pm), pm_acc)
-        q = self.spec.tier_overlap_q
-        t_mem = (t_dram**q + t_pm**q) ** (1.0 / q) if (t_dram or t_pm) else 0.0
-
-        t_cpu = self.cpu_time(footprint)
-        mix = footprint.pattern_mix()
-        beta = sum(self.spec.overlap[p] * w for p, w in mix.items()) if mix else 0.0
-        total = max(t_cpu, t_mem) + (1.0 - beta) * min(t_cpu, t_mem)
-        return TimeBreakdown(
-            total_s=total,
-            cpu_s=t_cpu,
-            mem_s=t_mem,
-            dram_s=t_dram,
-            pm_s=t_pm,
-            dram_read_bytes=d_rb,
-            dram_write_bytes=d_wb,
-            pm_read_bytes=p_rb,
-            pm_write_bytes=p_wb,
-        )
-
-    # ------------------------------------------------------------------
-    def breakdown_tiered(
-        self,
-        footprint: Footprint,
         topo: TopologySpec,
         tier_fractions: Mapping[str, Sequence[float]],
         bandwidth_derates: Sequence[float] | None = None,
     ) -> TieredBreakdown:
-        """N-tier generalisation of :meth:`breakdown`.
+        """Full time breakdown for an instance under a placement.
 
         ``tier_fractions[obj]`` is the object's access-fraction vector
-        across the topology's tiers, fastest first (missing objects default
-        to all-in-slowest).  ``bandwidth_derates`` optionally derates each
-        tier's bandwidth independently (contention).  The arithmetic
-        mirrors :meth:`breakdown` operation-for-operation so the 2-tier
-        case with vectors ``(r, 1 - r)`` is bit-identical.
+        across the topology's tiers, fastest first; each entry is clamped
+        to ``[0, 1]`` and missing objects default to all-in-slowest.  On
+        the 2-tier machine the vector is ``(r, 1 - r)`` for the paper's
+        access-weighted DRAM fraction ``r``.  ``bandwidth_derates``
+        optionally derates each tier's bandwidth independently
+        (contention): effective bandwidth is ``bw * derate``.
         """
-        n = topo.n_tiers
-        if bandwidth_derates is not None:
-            if len(bandwidth_derates) != n:
+        tiers = topo.tiers
+        n = len(tiers)
+        if bandwidth_derates is None:
+            derates = (1.0,) * n
+        else:
+            derates = tuple(map(float, bandwidth_derates))
+            if len(derates) != n:
                 raise ValueError("one bandwidth derate per tier required")
-            for d in bandwidth_derates:
+            for d in derates:
                 if not 0.0 < d <= 1.0:
                     raise ValueError("bandwidth derates must be in (0, 1]")
         default = (0.0,) * (n - 1) + (1.0,)
-        accs: list[dict[AccessPattern, tuple[float, float]]] = [{} for _ in range(n)]
+        accs: list[dict[AccessPattern, tuple[float, float]]] = [{} for _ in tiers]
         for a in footprint.accesses:
             f = tier_fractions.get(a.obj, default)
             if len(f) != n:
@@ -258,32 +182,15 @@ class MachineModel:
                     f"object {a.obj!r}: fraction vector has {len(f)} entries "
                     f"for a {n}-tier topology"
                 )
-            for k in range(n):
-                fk = min(1.0, max(0.0, float(f[k])))
-                r, w = accs[k].get(a.pattern, (0.0, 0.0))
-                accs[k][a.pattern] = (r + a.reads * fk, w + a.writes * fk)
+            pattern, reads, writes = a.pattern, a.reads, a.writes
+            for acc, fk in zip(accs, f):
+                fk = min(1.0, max(0.0, float(fk)))
+                r, w = acc.get(pattern, (0.0, 0.0))
+                acc[pattern] = (r + reads * fk, w + writes * fk)
 
-        def derated(tier: TierSpec, d: float) -> TierSpec:
-            if d >= 1.0:
-                return tier
-            return TierSpec(
-                name=tier.name,
-                capacity_bytes=tier.capacity_bytes,
-                seq_read_latency_ns=tier.seq_read_latency_ns,
-                rand_read_latency_ns=tier.rand_read_latency_ns,
-                read_bandwidth=tier.read_bandwidth * d,
-                write_bandwidth=tier.write_bandwidth * d,
-            )
-
-        times: list[float] = []
-        read_b: list[float] = []
-        write_b: list[float] = []
-        for k, tier in enumerate(topo.tiers):
-            d = 1.0 if bandwidth_derates is None else float(bandwidth_derates[k])
-            t, rb, wb = self._tier_time(derated(tier, d), accs[k])
-            times.append(t)
-            read_b.append(rb)
-            write_b.append(wb)
+        times, read_b, write_b = zip(
+            *[self._tier_time(t, d, acc) for t, d, acc in zip(tiers, derates, accs)]
+        )
         q = self.spec.tier_overlap_q
         t_mem = sum(t**q for t in times) ** (1.0 / q) if any(times) else 0.0
 
@@ -295,9 +202,9 @@ class MachineModel:
             total_s=total,
             cpu_s=t_cpu,
             mem_s=t_mem,
-            tier_s=tuple(times),
-            tier_read_bytes=tuple(read_b),
-            tier_write_bytes=tuple(write_b),
+            tier_s=times,
+            tier_read_bytes=read_b,
+            tier_write_bytes=write_b,
         )
 
     def tier_endpoint_times(
@@ -311,11 +218,12 @@ class MachineModel:
         for k in range(topo.n_tiers):
             vec = tuple(1.0 if i == k else 0.0 for i in range(topo.n_tiers))
             out.append(
-                self.breakdown_tiered(footprint, topo, {o: vec for o in objs}).total_s
+                self.breakdown(footprint, topo, {o: vec for o in objs}).total_s
             )
         return tuple(out)
 
-    # ------------------------------------------------------------------
+    # -- 2-tier helpers: ``hm`` is the (DRAM, PM) topology and each
+    # object's DRAM fraction ``r`` is the vector ``(r, 1 - r)``
     def instance_time(
         self,
         footprint: Footprint,
@@ -323,14 +231,20 @@ class MachineModel:
         dram_fractions: Mapping[str, float],
         bandwidth_derate: float = 1.0,
     ) -> float:
-        """Execution time in seconds (convenience wrapper)."""
-        return self.breakdown(footprint, hm, dram_fractions, bandwidth_derate).total_s
+        """Execution time in seconds (missing objects are all-PM)."""
+        vectors = {}
+        for a in footprint.accesses:
+            r = dram_fractions.get(a.obj)
+            if r is not None:
+                r = min(1.0, max(0.0, float(r)))
+                vectors[a.obj] = (r, 1.0 - r)
+        return self.breakdown(
+            footprint, TopologySpec.from_hm(hm), vectors, (bandwidth_derate,) * 2
+        ).total_s
 
     def endpoint_times(self, footprint: Footprint, hm: HMConfig) -> tuple[float, float]:
         """(T_dram_only, T_pm_only) -- the bounds of Equation 2."""
-        objs = footprint.objects
-        t_dram = self.instance_time(footprint, hm, {o: 1.0 for o in objs})
-        t_pm = self.instance_time(footprint, hm, {o: 0.0 for o in objs})
+        t_dram, t_pm = self.tier_endpoint_times(footprint, TopologySpec.from_hm(hm))
         return t_dram, t_pm
 
     def uniform_ratio_time(

@@ -47,6 +47,30 @@ def _guarded(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rw, ro
 
 
+#: cache lines per page: element-level popularity is averaged over this
+#: many draws per page, because a 4 KiB page mixes hot and cold lines
+LINES_PER_PAGE = 64
+
+
+def _page_weights(spec: DataObject, rng=None) -> np.ndarray:
+    """Per-page access weights of ``spec``, summing to 1 (read-only).
+
+    Zipf popularity lives at cache-line granularity; page-level hotness is
+    the sum of the page's line weights.  Drawing Zipf directly per page
+    would overstate page skew by ~64x and make hardware caching look far
+    better than it is.  Uniform objects spread accesses evenly.
+    """
+    n_pages = spec.n_pages
+    if spec.hotness == "zipf":
+        lines = zipf_weights(n_pages * LINES_PER_PAGE, spec.zipf_s, rng=make_rng(rng))
+        weight = lines.reshape(n_pages, LINES_PER_PAGE).sum(axis=1)
+        weight /= weight.sum()
+    else:
+        weight = np.full(n_pages, 1.0 / n_pages)
+    weight.flags.writeable = False
+    return weight
+
+
 class PagedObject:
     """Pages of one data object.
 
@@ -64,27 +88,10 @@ class PagedObject:
         "_pages", "_fraction", "_memo",
     )
 
-    #: cache lines per page: element-level popularity is averaged over this
-    #: many draws per page, because a 4 KiB page mixes hot and cold lines
-    LINES_PER_PAGE = 64
-
     def __init__(self, spec: DataObject, rng=None) -> None:
         self.spec = spec
         self.n_pages = spec.n_pages
-        if spec.hotness == "zipf":
-            # Zipf popularity lives at cache-line granularity; page-level
-            # hotness is the sum of the page's line weights.  Drawing Zipf
-            # directly per page would overstate page skew by ~64x and make
-            # hardware caching look far better than it is.
-            lines = zipf_weights(
-                self.n_pages * self.LINES_PER_PAGE, spec.zipf_s, rng=make_rng(rng)
-            )
-            weight = lines.reshape(self.n_pages, self.LINES_PER_PAGE).sum(axis=1)
-            weight /= weight.sum()
-        else:
-            weight = np.full(self.n_pages, 1.0 / self.n_pages)
-        weight.flags.writeable = False
-        self._weight = weight
+        self._weight = _page_weights(spec, rng)
         self._rw, self._residency = _guarded(self.n_pages)
         #: the owning table's memo (shared dict, so no reference cycle)
         self._memo: dict | None = None
@@ -387,17 +394,33 @@ class PageTable:
             moved += len(sel)
         return moved
 
-    def access_fractions(self) -> dict[str, float]:
-        """Per-object access-weighted DRAM fractions (``r_dram`` inputs).
-
-        A fresh copy of the memo, so callers may mutate it freely.
-        """
+    def _fractions(self) -> dict[str, float]:
         fractions = self._memo.get("fractions")
         if fractions is None:
             fractions = self._memo["fractions"] = {
                 o.name: o.dram_access_fraction() for o in self
             }
-        return dict(fractions)
+        return fractions
+
+    def access_fractions(self) -> dict[str, float]:
+        """Per-object access-weighted DRAM fractions (``r_dram`` inputs).
+
+        A fresh copy of the memo, so callers may mutate it freely.
+        """
+        return dict(self._fractions())
+
+    def access_fraction_vectors(self) -> dict[str, tuple[float, float]]:
+        """Per-object (DRAM, PM) access-fraction vectors ``(r, 1 - r)``:
+        the 2-tier form of :meth:`TieredPageTable.access_fraction_vectors`
+        that the machine model prices.  A fresh copy of the memo, rebuilt
+        only after a residency write.
+        """
+        vectors = self._memo.get("vectors")
+        if vectors is None:
+            vectors = self._memo["vectors"] = {
+                name: (r, 1.0 - r) for name, r in self._fractions().items()
+            }
+        return dict(vectors)
 
     def sample_pages(
         self, n: int, rng=None, weights: Mapping[str, np.ndarray] | None = None
@@ -449,18 +472,7 @@ class TieredPagedObject:
         self.spec = spec
         self.n_pages = spec.n_pages
         self.n_tiers = n_tiers
-        if spec.hotness == "zipf":
-            lines = zipf_weights(
-                self.n_pages * PagedObject.LINES_PER_PAGE,
-                spec.zipf_s,
-                rng=make_rng(rng),
-            )
-            self.weight = lines.reshape(
-                self.n_pages, PagedObject.LINES_PER_PAGE
-            ).sum(axis=1)
-            self.weight /= self.weight.sum()
-        else:
-            self.weight = np.full(self.n_pages, 1.0 / self.n_pages)
+        self.weight = _page_weights(spec, rng)
         self.tier_residency = np.zeros((n_tiers, self.n_pages), dtype=np.float64)
         self.tier_residency[-1, :] = 1.0  # born in the slowest tier
 

@@ -34,17 +34,21 @@ from repro.sim.counters import collect_pmcs
 from repro.sim.engine import Engine
 from repro.sim.kernels import BreakdownKernel
 from repro.sim.machine import MachineModel
-from repro.sim.memspec import optane_hm_config
+from repro.sim.memspec import TopologySpec, optane_hm_config
 from repro.sim.pages import PageTable
-
-_BD_FIELDS = (
-    "total_s", "cpu_s", "mem_s", "dram_s", "pm_s",
-    "dram_read_bytes", "dram_write_bytes", "pm_read_bytes", "pm_write_bytes",
-)
 
 
 def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
+
+
+def _bd_fingerprint(bd) -> tuple:
+    return (
+        _bits(bd.total_s), _bits(bd.cpu_s), _bits(bd.mem_s),
+        tuple(_bits(t) for t in bd.tier_s),
+        tuple(_bits(b) for b in bd.tier_read_bytes),
+        tuple(_bits(b) for b in bd.tier_write_bytes),
+    )
 
 
 @pytest.fixture
@@ -283,21 +287,22 @@ def test_greedy_plan_with_precomputed_grids_bit_identical(system, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_breakdown_kernel_bit_identical():
-    machine, hm = MachineModel(), optane_hm_config()
+    """2-tier placements as the engine prices them: ``(r, 1 - r)``."""
+    machine, topo = MachineModel(), TopologySpec.from_hm(optane_hm_config())
     fps = [
         (f"t{i}", s.footprint(1.0))
         for i, s in enumerate(generate_corpus(8, seed=5))
     ]
-    kernel = BreakdownKernel(machine, hm, fps)
+    kernel = BreakdownKernel(machine, topo, fps)
     rng = make_rng(7)
     objs = sorted({o for _, fp in fps for o in fp.objects})
     for _ in range(10):
         fractions = {o: float(rng.uniform(0.0, 1.0)) for o in objs}
-        batch = kernel.breakdown_batch([tid for tid, _ in fps], fractions)
+        vectors = {o: (r, 1.0 - r) for o, r in fractions.items()}
+        batch = kernel.breakdown_batch([tid for tid, _ in fps], vectors)
         for (tid, fp), bd in zip(fps, batch):
-            ref = machine.breakdown(fp, hm, fractions)
-            for f in _BD_FIELDS:
-                assert _bits(getattr(ref, f)) == _bits(getattr(bd, f)), (tid, f)
+            ref = machine.breakdown(fp, topo, vectors)
+            assert _bd_fingerprint(ref) == _bd_fingerprint(bd), tid
 
 
 def test_page_table_arena_aliases_objects():
@@ -408,18 +413,8 @@ def test_engine_run_bit_identical_under_faults(system, monkeypatch):
 # sim: N-tier breakdown kernel and tiered engine runs
 # ---------------------------------------------------------------------------
 
-def _tiered_bd_fingerprint(bd) -> tuple:
-    return (
-        _bits(bd.total_s), _bits(bd.cpu_s), _bits(bd.mem_s),
-        tuple(_bits(t) for t in bd.tier_s),
-        tuple(_bits(b) for b in bd.tier_read_bytes),
-        tuple(_bits(b) for b in bd.tier_write_bytes),
-    )
-
-
 @pytest.mark.parametrize("preset", ["dram_pm", "hbm_dram_pm", "hbm_dram_cxl_pm"])
 def test_tiered_breakdown_kernel_bit_identical(preset):
-    from repro.sim.kernels import TieredBreakdownKernel
     from repro.sim.memspec import topology_preset
 
     machine, topo = MachineModel(), topology_preset(preset)
@@ -427,7 +422,7 @@ def test_tiered_breakdown_kernel_bit_identical(preset):
         (f"t{i}", s.footprint(1.0))
         for i, s in enumerate(generate_corpus(8, seed=5))
     ]
-    kernel = TieredBreakdownKernel(machine, topo, fps)
+    kernel = BreakdownKernel(machine, topo, fps)
     rng = make_rng(7)
     objs = sorted({o for _, fp in fps for o in fp.objects})
     n = topo.n_tiers
@@ -439,8 +434,8 @@ def test_tiered_breakdown_kernel_bit_identical(preset):
             fractions[o] = tuple(float(x) for x in raw)
         batch = kernel.breakdown_batch([tid for tid, _ in fps], fractions)
         for (tid, fp), bd in zip(fps, batch):
-            ref = machine.breakdown_tiered(fp, topo, fractions)
-            assert _tiered_bd_fingerprint(ref) == _tiered_bd_fingerprint(bd), tid
+            ref = machine.breakdown(fp, topo, fractions)
+            assert _bd_fingerprint(ref) == _bd_fingerprint(bd), tid
 
 
 def _tiered_engine_fingerprint(system, preset: str, policy_name: str) -> tuple:

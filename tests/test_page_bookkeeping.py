@@ -1,7 +1,8 @@
 """The page table's memoised bookkeeping always equals ground truth.
 
-``PageTable`` memoises ``dram_used_bytes()`` and ``access_fractions()``,
-and each ``PagedObject`` caches its DRAM pages and access fraction.
+``PageTable`` memoises ``dram_used_bytes()``, ``access_fractions()`` and
+``access_fraction_vectors()``, and each ``PagedObject`` caches its DRAM
+pages and access fraction.
 Residency changes only through ``set_pages``/``set_residency``, which drop
 those caches; the residency arrays themselves are read-only.  These tests
 recompute both quantities from the residency arrays around every engine
@@ -65,6 +66,9 @@ def _assert_memo_exact(table: PageTable) -> None:
     fractions = {o.name: float(o.weight @ o.residency) for o in table}
     used = sum(float(o.residency.sum()) * PAGE_SIZE for o in table)
     assert table.access_fractions() == fractions
+    assert table.access_fraction_vectors() == {
+        name: (r, 1.0 - r) for name, r in fractions.items()
+    }
     assert table.dram_used_bytes() == used
     for obj in table:
         assert obj.dram_pages() == float(obj.residency.sum())
@@ -173,6 +177,9 @@ def test_access_fractions_hands_out_copies():
     first = t.access_fractions()
     first["o0"] = -1.0
     del first["o1"]
+    vectors = t.access_fraction_vectors()
+    vectors["o0"] = (-1.0, 2.0)
+    del vectors["o1"]
     _assert_memo_exact(t)
 
 

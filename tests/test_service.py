@@ -664,3 +664,40 @@ class TestChaos:
         assert {d.status for d in decisions} == {"planned"}
         assert server.submitted == server.decided == 4
         assert server.log.count("service.batch_retried") == 1
+
+    def test_crash_event_records_the_error_type(self):
+        server, clock, _ = make_server(
+            window_s=0.0, faults=_AlwaysCrash(), max_batch_retries=1
+        )
+        server.submit(make_request("r0"), now=0.0)
+        server.flush(now=0.0)
+        (event,) = [ev for ev in server.log.events if ev.kind == "service.batch_crashed"]
+        assert event.detail["error_type"] == "WorkerCrashed"
+
+    def test_planner_bug_propagates_instead_of_being_shed(self, monkeypatch):
+        server, clock, _ = make_server(window_s=0.0)
+
+        def broken(batch, now):
+            raise KeyError("missing task model")
+
+        monkeypatch.setattr(server.scheduler, "plan_batch", broken)
+        server.submit(make_request("r0"), now=0.0)
+        with pytest.raises(KeyError, match="missing task model"):
+            server.flush(now=0.0)
+        assert server.log.count("service.batch_crashed") == 0
+        assert server.log.count("service.shed") == 0
+
+    def test_planner_bug_in_pooled_batch_propagates(self, monkeypatch):
+        with WorkerPool(workers=2, mode="thread") as pool:
+            server, clock, _ = make_server(window_s=0.0, max_batch=2, pool=pool)
+
+            def broken(batch, now):
+                raise KeyError("missing task model")
+
+            monkeypatch.setattr(server.scheduler, "plan_batch", broken)
+            for i in range(4):  # two batches -> the pooled path
+                server.submit(make_request(f"r{i}", shape=i), now=0.0)
+            with pytest.raises(RuntimeError, match="KeyError"):
+                server.flush(now=0.0)
+        assert server.log.count("service.batch_crashed") == 0
+        assert server.log.count("service.shed") == 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common import PAGE_SIZE, AccessPattern
 from repro.sim import Engine, EngineConfig, MachineModel, PlacementPolicy, optane_hm_config
-from repro.sim.engine import _clamp_batch, _evict_for_pressure, _plan_pressure_evictions
+from repro.sim.engine import _clamp_batch, _plan_pressure_evictions
 from repro.sim.pages import MigrationBatch, PageTable
 from repro.tasks import DataObject, Footprint, MPIProgram, ObjectAccess
 
@@ -221,12 +221,23 @@ def _uniform_table(n_objects=3, pages_each=8, capacity_pages=64, order=None):
     return table
 
 
+def _evict(table, pressure_bytes):
+    """Plan and apply a pressure eviction the way the engine's tick does:
+    the plan becomes a demote-only batch."""
+    plan = _plan_pressure_evictions(table, pressure_bytes)
+    if not plan:
+        return 0
+    return table.apply_batch(
+        MigrationBatch(moves=tuple((name, idx, False) for name, idx in plan))
+    )
+
+
 class TestPressureEviction:
     def test_zero_and_negative_pressure_are_noops(self):
         table = _uniform_table()
         assert _plan_pressure_evictions(table, 0) == []
         assert _plan_pressure_evictions(table, -PAGE_SIZE) == []
-        assert _evict_for_pressure(table, 0) == 0
+        assert _evict(table, 0) == 0
         for obj in table:
             assert obj.dram_pages() == obj.n_pages
 
@@ -238,7 +249,7 @@ class TestPressureEviction:
     def test_evicts_exactly_the_deficit(self):
         table = _uniform_table(n_objects=2, pages_each=8, capacity_pages=16)
         # 16 used, capacity drops to 10 -> 6 pages must go
-        evicted = _evict_for_pressure(table, 6 * PAGE_SIZE)
+        evicted = _evict(table, 6 * PAGE_SIZE)
         assert evicted == 6
         used = sum(o.dram_pages() for o in table)
         assert used == 10

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.common import AccessPattern
 from repro.sim.machine import MachineModel, MachineSpec
-from repro.sim.memspec import optane_hm_config
+from repro.sim.memspec import TopologySpec, optane_hm_config
 from repro.tasks import Footprint, KernelProfile, ObjectAccess
 
 HM = optane_hm_config()
+TOPO = TopologySpec.from_hm(HM)
 MODEL = MachineModel()
 
 
@@ -95,43 +96,60 @@ class TestEndpoints:
         assert abs(t_half - linear) / linear > 0.02
 
 
+def dram_pm(r):
+    """The 2-tier fraction vector of a DRAM fraction ``r``."""
+    return (r, 1.0 - r)
+
+
 class TestBreakdown:
     def test_components_consistent(self):
-        bd = MODEL.breakdown(footprint(), HM, {"x": 0.5})
+        bd = MODEL.breakdown(footprint(), TOPO, {"x": dram_pm(0.5)})
         assert bd.total_s > 0
         assert bd.total_s >= max(bd.cpu_s, bd.mem_s) - 1e-12
 
     def test_bytes_split_by_fraction(self):
         f = footprint(reads=1000, writes=0)
-        bd = MODEL.breakdown(f, HM, {"x": 0.25})
-        assert bd.dram_read_bytes == pytest.approx(0.25 * 1000 * 64)
-        assert bd.pm_read_bytes == pytest.approx(0.75 * 1000 * 64)
+        bd = MODEL.breakdown(f, TOPO, {"x": dram_pm(0.25)})
+        assert bd.tier_read_bytes[0] == pytest.approx(0.25 * 1000 * 64)
+        assert bd.tier_read_bytes[1] == pytest.approx(0.75 * 1000 * 64)
 
     def test_write_bytes_tracked(self):
         f = footprint(reads=0, writes=100)
-        bd = MODEL.breakdown(f, HM, {"x": 1.0})
-        assert bd.dram_write_bytes == pytest.approx(100 * 64)
-        assert bd.pm_write_bytes == 0
+        bd = MODEL.breakdown(f, TOPO, {"x": dram_pm(1.0)})
+        assert bd.tier_write_bytes[0] == pytest.approx(100 * 64)
+        assert bd.tier_write_bytes[1] == 0
 
     def test_missing_object_defaults_to_pm(self):
         f = footprint()
-        bd = MODEL.breakdown(f, HM, {})
-        assert bd.dram_bytes == 0
-        assert bd.pm_bytes > 0
+        bd = MODEL.breakdown(f, TOPO, {})
+        assert bd.tier_bytes(0) == 0
+        assert bd.tier_bytes(1) > 0
 
     def test_bandwidth_derate_slows_memory(self):
         f = footprint(reads=5_000_000, instr=1000)
-        t_full = MODEL.breakdown(f, HM, {"x": 0.0}).total_s
-        t_half = MODEL.breakdown(f, HM, {"x": 0.0}, bandwidth_derate=0.01).total_s
+        t_full = MODEL.breakdown(f, TOPO, {"x": dram_pm(0.0)}).total_s
+        t_half = MODEL.breakdown(
+            f, TOPO, {"x": dram_pm(0.0)}, bandwidth_derates=(0.01, 0.01)
+        ).total_s
         assert t_half > t_full
+        assert MODEL.instance_time(f, HM, {"x": 0.0}, bandwidth_derate=0.01) == t_half
 
     def test_derate_validation(self):
         with pytest.raises(ValueError):
-            MODEL.breakdown(footprint(), HM, {}, bandwidth_derate=0)
+            MODEL.breakdown(footprint(), TOPO, {}, bandwidth_derates=(0, 0))
+        with pytest.raises(ValueError):
+            MODEL.instance_time(footprint(), HM, {}, bandwidth_derate=0)
+        with pytest.raises(ValueError):
+            MODEL.breakdown(footprint(), TOPO, {}, bandwidth_derates=(1.0,))
 
     def test_fraction_clamped(self):
-        bd = MODEL.breakdown(footprint(), HM, {"x": 2.0})
-        assert bd.pm_bytes == pytest.approx(0.0)
+        bd = MODEL.breakdown(footprint(), TOPO, {"x": dram_pm(2.0)})
+        assert bd.tier_bytes(1) == pytest.approx(0.0)
+        assert MODEL.instance_time(footprint(), HM, {"x": 2.0}) == bd.total_s
+
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(ValueError):
+            MODEL.breakdown(footprint(), TOPO, {"x": (1.0,)})
 
 
 class TestComputeModel:
